@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -271,16 +270,7 @@ func (e *shardError) Unwrap() error { return e.err }
 
 // Get runs a GET sub-request against shard, with retries and hedging, and
 // returns the response body.
-func (c *ShardClient) Get(ctx context.Context, shard int, pathAndQuery string) ([]byte, error) {
-	return c.do(ctx, shard, http.MethodGet, pathAndQuery, nil)
-}
-
-// Post runs a POST sub-request with a JSON body against shard.
-func (c *ShardClient) Post(ctx context.Context, shard int, path string, body []byte) ([]byte, error) {
-	return c.do(ctx, shard, http.MethodPost, path, body)
-}
-
-func (c *ShardClient) do(ctx context.Context, shard int, method, path string, body []byte) ([]byte, error) {
+func (c *ShardClient) Get(ctx context.Context, shard int, path string) ([]byte, error) {
 	rs := c.sets[shard]
 	attempts := c.cfg.Retries + 1
 	backoff := c.cfg.RetryBackoff
@@ -306,7 +296,7 @@ func (c *ShardClient) do(ctx context.Context, shard int, method, path string, bo
 		actx, cancel := c.attemptContext(ctx, attempts-attempt)
 		rp := rs.pick(prev)
 		prev = rp
-		b, err := c.attempt(actx, rs, rp, method, path, body)
+		b, err := c.attempt(actx, rs, rp, path)
 		cancel()
 		if err == nil {
 			return b, nil
@@ -336,7 +326,7 @@ func (c *ShardClient) attemptContext(ctx context.Context, attemptsLeft int) (con
 // a hedge_win mark, and an attempt abandoned in flight is closed with a
 // cancelled mark before attempt returns (attributes are safe to set
 // after End, which only freezes timing).
-func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, method, path string, body []byte) ([]byte, error) {
+func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, path string) ([]byte, error) {
 	type outcome struct {
 		body   []byte
 		err    error
@@ -373,7 +363,7 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 		}
 		launched = append(launched, span)
 		go func() {
-			b, err := c.send(sctx, rs.shard, target, method, path, body)
+			b, err := c.send(sctx, rs.shard, target, path)
 			span.End()
 			if err != nil {
 				span.Annotate("error", err.Error())
@@ -430,17 +420,10 @@ func (c *ShardClient) attempt(ctx context.Context, rs *replicaSet, rp *replica, 
 // accounting: success resets the failure streak, failure advances it and
 // ejects past the threshold. A response, whatever its status, proves the
 // replica alive; only 5xx and transport errors count as failures.
-func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, path string, body []byte) ([]byte, error) {
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+rp.addr+path, rdr)
+func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+rp.addr+path, nil)
 	if err != nil {
 		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := int(time.Until(dl).Milliseconds())
@@ -463,13 +446,7 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, 
 	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// A cancelled context is the caller's doing — the primary won a
-		// hedge race, or the query was abandoned — and says nothing about
-		// this replica's health. Counting it would eject healthy replicas
-		// on every hedge, permanently disabling hedging for the shard.
-		if !errors.Is(err, context.Canceled) {
-			c.fail(shard, rp, err)
-		}
+		c.failUnlessCancelled(ctx, shard, rp, err)
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -482,7 +459,7 @@ func (c *ShardClient) send(ctx context.Context, shard int, rp *replica, method, 
 		"Response bytes read from shard sub-requests, by shard.", c.shardLabel(shard)).
 		Add(float64(len(b)))
 	if err != nil {
-		c.fail(shard, rp, err)
+		c.failUnlessCancelled(ctx, shard, rp, err)
 		return nil, err
 	}
 	if resp.StatusCode >= 500 {
@@ -507,6 +484,19 @@ func (c *ShardClient) succeed(shard int, rp *replica) {
 	if readmitted {
 		c.readmitted(shard, rp, "traffic")
 	}
+}
+
+// failUnlessCancelled counts a transport or body-read error against the
+// replica unless the request was cancelled. A cancellation is the
+// caller's doing — the other attempt won a hedge race, or the query was
+// abandoned — and says nothing about this replica's health, whether it
+// lands while connecting or mid-body. Counting it would eject healthy
+// replicas on every hedge, permanently disabling hedging for the shard.
+func (c *ShardClient) failUnlessCancelled(ctx context.Context, shard int, rp *replica, err error) {
+	if errors.Is(ctx.Err(), context.Canceled) || errors.Is(err, context.Canceled) {
+		return
+	}
+	c.fail(shard, rp, err)
 }
 
 func (c *ShardClient) fail(shard int, rp *replica, cause error) {

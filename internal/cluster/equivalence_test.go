@@ -154,52 +154,140 @@ func assertSameRanking(t *testing.T, q string, got serve.ExpertsResponse, want [
 }
 
 // TestRouterMatchesSingleNode is the acceptance equivalence test: for
-// S in {2, 4}, the router's top-n over S shards must equal single-node
-// ta.TopExperts exactly — ids, order and float bits, ties included.
+// S in {2, 3, 4}, the router's top-n over S shards must equal single-node
+// TopExperts exactly — ids, order and float bits, ties included — and so
+// must its candidates and ta_depth, because the router runs the
+// single-node TA over the same retrieved papers. The second (m, n) pair
+// asks for more papers than the corpus holds.
 func TestRouterMatchesSingleNode(t *testing.T) {
 	ds, eng := equivEngine(t)
 	queries := ds.Queries(8, rand.New(rand.NewSource(3)))
-	const m, n = 40, 10
 
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			topo := startTopology(t, eng, shards, RouterConfig{}, ClientConfig{}, nil, nil)
-			for _, q := range queries {
-				want, _, err := eng.TopExperts(q.Text, m, n)
-				if err != nil {
-					t.Fatal(err)
+			for _, mn := range [][2]int{{40, 10}, {500, 25}} {
+				m, n := mn[0], mn[1]
+				for _, q := range queries {
+					want, st, err := eng.TopExperts(q.Text, m, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := queryExperts(t, topo.routerURL, q.Text, m, n)
+					assertSameRanking(t, q.Text, got, want)
+					if got.Candidates != st.TA.Candidates || got.TADepth != st.TA.Depth {
+						t.Fatalf("query %q m=%d: router candidates=%d ta_depth=%d, single node %d/%d",
+							q.Text, m, got.Candidates, got.TADepth, st.TA.Candidates, st.TA.Depth)
+					}
 				}
-				got := queryExperts(t, topo.routerURL, q.Text, m, n)
-				assertSameRanking(t, q.Text, got, want)
 			}
 		})
 	}
 }
 
-// TestRouterDeepeningRound forces the second, deeper fetch: with the
-// initial per-shard limit squeezed to 1 the first round's bound cannot
-// certify, the router must go back for more, and the final ranking must
-// still match single node exactly.
-func TestRouterDeepeningRound(t *testing.T) {
+// TestRouterOneRoundPerShard pins the protocol: an /experts query costs
+// exactly one /shard/papers request per shard, asking for author lists,
+// and no other shard call — and the router's fan-out histogram, which
+// /metrics exports, counts the same round trips.
+func TestRouterOneRoundPerShard(t *testing.T) {
 	ds, eng := equivEngine(t)
-	queries := ds.Queries(4, rand.New(rand.NewSource(9)))
-	const m, n = 40, 10
+	queries := ds.Queries(5, rand.New(rand.NewSource(11)))
+	const shards = 3
 
-	topo := startTopology(t, eng, 2, RouterConfig{InitialLimit: 1}, ClientConfig{}, nil, nil)
-	for _, q := range queries {
-		want, _, err := eng.TopExperts(q.Text, m, n)
-		if err != nil {
-			t.Fatal(err)
+	var mu sync.Mutex
+	calls := map[string]int{} // "shard/path" -> requests
+	count := func(shard, _ int, inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/shard/") {
+				if r.URL.Path == "/shard/papers" && r.URL.Query().Get("authors") != "1" {
+					t.Errorf("shard %d: /shard/papers without authors=1: %s", shard, r.URL.RawQuery)
+				}
+				mu.Lock()
+				calls[fmt.Sprintf("%d%s", shard, r.URL.Path)]++
+				mu.Unlock()
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	topo := startTopology(t, eng, shards, RouterConfig{}, ClientConfig{HedgeAfter: -1}, nil, count)
+	for i, q := range queries {
+		queryExperts(t, topo.routerURL, q.Text, 40, 10)
+		mu.Lock()
+		if len(calls) != shards {
+			t.Fatalf("query %d: shard calls %v, want only /shard/papers on each of %d shards", i, calls, shards)
 		}
-		got := queryExperts(t, topo.routerURL, q.Text, m, n)
-		assertSameRanking(t, q.Text, got, want)
-		if got.TADepth < 2 {
-			t.Fatalf("query %q: expected a deepening round, ta_depth = %d", q.Text, got.TADepth)
+		for s := 0; s < shards; s++ {
+			if got := calls[fmt.Sprintf("%d/shard/papers", s)]; got != i+1 {
+				t.Fatalf("after %d queries shard %d served %d /shard/papers requests", i+1, s, got)
+			}
+		}
+		mu.Unlock()
+	}
+	for s := 0; s < shards; s++ {
+		h := topo.reg.Histogram("expertfind_cluster_fanout_seconds", "", nil, obs.L("shard", fmt.Sprint(s)))
+		if h.Count() != uint64(len(queries)) {
+			t.Fatalf("shard %d: fan-out histogram counts %d round trips over %d queries", s, h.Count(), len(queries))
 		}
 	}
-	deep := topo.reg.Counter("expertfind_cluster_deep_fetches_total", "").Value()
-	if deep < float64(len(queries)) {
-		t.Fatalf("deep-fetch counter %v after %d forced-deepening queries", deep, len(queries))
+}
+
+// TestShardPapersWireCompact bounds the /experts sub-response: compact
+// JSON, each distinct author in the table exactly once, and every byline
+// id resolvable from the table.
+func TestShardPapersWireCompact(t *testing.T) {
+	ds, eng := equivEngine(t)
+	q := ds.Queries(1, rand.New(rand.NewSource(5)))[0]
+	se, err := NewShardEngine(eng, ShardConfig{ID: 0, Of: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(eng)
+	srv.SetReady(true)
+	MountShard(srv, se)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		"/shard/papers?m=40&authors=1&q="+url.QueryEscape(q.Text), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	body := rec.Body.Bytes()
+	var pr PapersResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Papers) == 0 || len(pr.AuthorTable) == 0 {
+		t.Fatalf("empty page: %d papers, %d authors", len(pr.Papers), len(pr.AuthorTable))
+	}
+
+	rows := map[hetgraph.NodeID]bool{}
+	for _, row := range pr.AuthorTable {
+		if rows[row.ID] {
+			t.Fatalf("author %d listed twice in the author table", row.ID)
+		}
+		rows[row.ID] = true
+		if row.Name == "" || row.Papers < 1 {
+			t.Fatalf("incomplete author row %+v", row)
+		}
+	}
+	used := map[hetgraph.NodeID]bool{}
+	for _, p := range pr.Papers {
+		for _, a := range p.AuthorIDs {
+			if !rows[a] {
+				t.Fatalf("paper %d byline author %d missing from the author table", p.ID, a)
+			}
+			used[a] = true
+		}
+	}
+	if len(used) != len(rows) {
+		t.Fatalf("author table has %d rows, the bylines name %d authors", len(rows), len(used))
+	}
+
+	indented, err := json.MarshalIndent(pr, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := len(indented) * 3 / 4; len(body) > limit {
+		t.Fatalf("shard body is %d bytes, over 3/4 of its %d-byte indented form", len(body), len(indented))
 	}
 }
 

@@ -5,10 +5,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"expertfind/internal/obs"
 )
 
 // faultGate wraps a shard handler with switchable failure modes: while
@@ -172,6 +175,67 @@ func TestHedgedRequests(t *testing.T) {
 	}
 	if !strings.Contains(mtx, "expertfind_cluster_hedge_wins_total") {
 		t.Error("/metrics is missing expertfind_cluster_hedge_wins_total; hedges never won")
+	}
+}
+
+// TestHedgeLoserMidBodyKeepsReplica: a hedge loser cancelled while its
+// response body is still streaming is as healthy as one cancelled while
+// connecting. One replica sends headers, flushes, then stalls until its
+// request is cancelled; the other answers after the hedge delay. Whichever
+// is the primary, the stalled one loses mid-body — and with EjectAfter 1
+// a single miscounted cancellation would eject it.
+func TestHedgeLoserMidBodyKeepsReplica(t *testing.T) {
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte("{"))
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer stalled.Close()
+	prompt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(30 * time.Millisecond)
+		w.Write([]byte("{}"))
+	}))
+	defer prompt.Close()
+
+	reg := obs.NewRegistry()
+	client, err := NewShardClient([][]string{{
+		strings.TrimPrefix(stalled.URL, "http://"),
+		strings.TrimPrefix(prompt.URL, "http://"),
+	}}, ClientConfig{HedgeAfter: 5 * time.Millisecond, EjectAfter: 1}, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 4
+	for i := 0; i < rounds; i++ {
+		b, err := client.Get(context.Background(), 0, "/shard/papers?q=x&m=1")
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if string(b) != "{}" {
+			t.Fatalf("round %d: body %q, want the prompt replica's", i, b)
+		}
+	}
+	// Every attempt, loser included, observes the fan-out histogram just
+	// before settling its health accounting; wait for all of them (an
+	// ejected replica gets no more hedges, so stop waiting after a
+	// while), then give the losers a moment to settle.
+	fanout := reg.Histogram("expertfind_cluster_fanout_seconds", "", nil, obs.L("shard", "0"))
+	for stop := time.Now().Add(2 * time.Second); fanout.Count() < 2*rounds && time.Now().Before(stop); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+
+	if alive := client.AliveReplicas(); alive[0] != 2 {
+		t.Fatalf("%d alive replicas after %d hedged requests, want 2", alive[0], rounds)
+	}
+	for _, u := range []string{stalled.URL, prompt.URL} {
+		ej := reg.Counter("expertfind_cluster_ejections_total", "",
+			obs.L("shard", "0"), obs.L("replica", strings.TrimPrefix(u, "http://"))).Value()
+		if ej != 0 {
+			t.Fatalf("replica %s ejected %v times", u, ej)
+		}
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package cluster is the multi-process topology of the system: a
-// deterministic corpus partitioner, a shard server mode exposing bounded
-// partial rankings over internal /shard/* APIs, and a router mode that
-// scatter-gathers those partials and merges them with the distributed
-// threshold bound of ta.MergePartials (see DESIGN.md, "Sharded cluster").
+// deterministic corpus partitioner, a shard server mode that retrieves
+// over its slice of the papers on the internal /shard/papers API, and a
+// router mode that gathers each shard's retrieved papers with their
+// author lists in one round trip and ranks experts itself with the
+// paper's TA (see DESIGN.md, "Sharded cluster layer").
 //
 // Shards own disjoint subsets of the papers, assigned by a hash of the
 // paper id that every process computes identically, so the router needs no
 // placement service: ownership is a pure function of (paper id, shard
-// count). Authors are not partitioned — an author's global score is the
-// sum of per-shard partial scores over the papers each shard owns.
+// count). Authors are not partitioned — every process holds the full
+// graph, and the router scores an author over the merged global list.
 package cluster
 
 import (

@@ -25,13 +25,8 @@ type RouterConfig struct {
 	// DefaultM/DefaultN/MaxM/MaxN mirror the single-node serve bounds.
 	DefaultM, DefaultN, MaxM, MaxN int
 	// QueryTimeout bounds each query end to end (504 past it); the
-	// per-shard budgets of every scatter derive from what remains of it.
+	// per-shard budgets of the scatter derive from what remains of it.
 	QueryTimeout time.Duration
-	// InitialLimit is the per-shard partial-list depth of the first
-	// /shard/experts round (0: max(2n, 16)). Each uncertified round
-	// quadruples it; past MaxM the router asks for unbounded lists, which
-	// always certify.
-	InitialLimit int
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -51,10 +46,11 @@ func (c RouterConfig) withDefaults() RouterConfig {
 }
 
 // Router is the scatter-gather front of a sharded cluster. It holds no
-// corpus: queries fan out to the shard replicas through a ShardClient and
-// partial results merge under the distributed threshold bound of
-// ta.MergePartials. Responses match the single-node /experts and /papers
-// shapes byte for byte, so clients cannot tell the topologies apart.
+// corpus: a query fans out to one replica of every shard through a
+// ShardClient, once, and the router ranks experts itself with the paper's
+// TA over the merged papers' author lists. Responses match the
+// single-node /experts and /papers shapes byte for byte, so clients
+// cannot tell the topologies apart.
 type Router struct {
 	mux    *http.ServeMux
 	client *ShardClient
@@ -184,9 +180,8 @@ func (rt *Router) finishTrace(capture *obs.TraceCapture, r *http.Request, route 
 			DurationMs: durMs,
 			Root:       tree,
 		}, obs.KeepFlags{
-			Error:    status >= 500,
-			Hedged:   tree.HasAttr("hedge"),
-			Deepened: tree.HasAttr("deepened"),
+			Error:  status >= 500,
+			Hedged: tree.HasAttr("hedge"),
 		})
 	}
 	if rt.SlowQuery > 0 && durMs >= rt.SlowQuery.Seconds()*1000 {
@@ -276,13 +271,6 @@ func (rt *Router) intParam(r *http.Request, name string, def, max int) (int, err
 	return v, nil
 }
 
-// rankedPaper is one globally merged retrieved paper with its origin.
-type rankedPaper struct {
-	WirePaper
-	shard int
-	rank  int
-}
-
 // startFanout opens the per-shard fan-out span under ctx: the parent of
 // this sub-request's rpc attempts and the graft point for the shard's
 // returned span tree.
@@ -292,10 +280,12 @@ func startFanout(ctx context.Context, shard int) (context.Context, *obs.Span) {
 	return fctx, span
 }
 
-// scatterPapers fans GET /shard/papers out to every shard and returns the
-// per-shard results. Any shard failing entirely fails the query.
-func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool) ([]*PapersResponse, error) {
+// scatterPapers fans GET /shard/papers out to every shard, with extra
+// appended to the query string, and returns the per-shard results. Any
+// shard failing entirely fails the query.
+func (rt *Router) scatterPapers(ctx context.Context, q string, m int, extra string) ([]*PapersResponse, error) {
 	s := rt.client.NumShards()
+	path := "/shard/papers?q=" + url.QueryEscape(q) + "&m=" + strconv.Itoa(m) + extra
 	resps := make([]*PapersResponse, s)
 	errs := make([]error, s)
 	var wg sync.WaitGroup
@@ -303,10 +293,6 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			path := "/shard/papers?q=" + url.QueryEscape(q) + "&m=" + strconv.Itoa(m)
-			if meta {
-				path += "&meta=1"
-			}
 			fctx, fanout := startFanout(ctx, i)
 			defer fanout.End()
 			b, err := rt.client.Get(fctx, i, path)
@@ -339,13 +325,11 @@ func (rt *Router) scatterPapers(ctx context.Context, q string, m int, meta bool)
 // (distance ascending, id ascending) — the exact comparator of the
 // single-node brute-force retrieval, applied to the same distance bits,
 // so the merged list equals the single-node list when shards retrieve
-// exactly.
-func mergePapers(resps []*PapersResponse, m int) []rankedPaper {
-	var all []rankedPaper
+// exactly. Position i holds global rank i+1.
+func mergePapers(resps []*PapersResponse, m int) []WirePaper {
+	var all []WirePaper
 	for _, r := range resps {
-		for _, p := range r.Papers {
-			all = append(all, rankedPaper{WirePaper: p, shard: r.Shard})
-		}
+		all = append(all, r.Papers...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Dist != all[j].Dist {
@@ -356,223 +340,49 @@ func mergePapers(resps []*PapersResponse, m int) []rankedPaper {
 	if len(all) > m {
 		all = all[:m]
 	}
-	for i := range all {
-		all[i].rank = i + 1
-	}
 	return all
 }
 
-// scatterExperts fans POST /shard/experts out to the shards owning at
-// least one ranked paper, with per-shard partial-list limit t. The
-// returned slice is indexed by shard; shards with no papers stay nil.
-func (rt *Router) scatterExperts(ctx context.Context, papers []rankedPaper, t int) ([]*ShardExpertsResponse, error) {
-	s := rt.client.NumShards()
-	perShard := make([][]RankedPaper, s)
-	for _, p := range papers {
-		perShard[p.shard] = append(perShard[p.shard], RankedPaper{ID: p.ID, Rank: p.rank})
-	}
-	resps := make([]*ShardExpertsResponse, s)
-	errs := make([]error, s)
-	var wg sync.WaitGroup
-	for i := 0; i < s; i++ {
-		if len(perShard[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, err := json.Marshal(ExpertsRequest{Papers: perShard[i], Limit: t})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			fctx, fanout := startFanout(ctx, i)
-			defer fanout.End()
-			b, err := rt.client.Post(fctx, i, "/shard/experts", body)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var er ShardExpertsResponse
-			if err := json.Unmarshal(b, &er); err != nil {
-				errs[i] = &shardError{shard: i, err: fmt.Errorf("bad experts payload: %w", err)}
-				return
-			}
-			fanout.End()
-			if er.Trace != nil {
-				fanout.Graft(*er.Trace)
-			}
-			resps[i] = &er
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return resps, nil
-}
-
-// mergedExpert is one globally ranked expert after the distributed merge.
-type mergedExpert struct {
-	id     int32
-	score  float64
-	name   string
-	papers int
-}
-
-// mergeStats reports the distributed ranking's work for the response.
-type mergeStats struct {
-	candidates int
-	rounds     int
-}
-
-// rankExperts runs the two-round distributed pipeline: retrieval scatter
-// + global rank assignment, then expert scatter rounds of growing depth
-// until ta.MergePartials certifies the global top-n.
-func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]mergedExpert, mergeStats, error) {
-	var ms mergeStats
+// rankExperts serves one /experts query in one round trip per shard: the
+// scatter returns each owned retrieved paper's byline, the merge assigns
+// global ranks, and the paper's TA runs here over the merged bylines —
+// the single-node computation over the same retrieved list, so ranking,
+// score bits and stats match it exactly.
+func (rt *Router) rankExperts(ctx context.Context, q string, m, n int) ([]serve.ExpertResult, ta.Stats, error) {
 	sctx, sp := obs.StartSpan(ctx, "scatter_papers")
-	r1, err := rt.scatterPapers(sctx, q, m, false)
+	resps, err := rt.scatterPapers(sctx, q, m, "&authors=1")
 	sp.End()
 	if err != nil {
-		return nil, ms, err
+		return nil, ta.Stats{}, err
 	}
 	_, mp := obs.StartSpan(ctx, "merge_papers")
-	papers := mergePapers(r1, m)
+	papers := mergePapers(resps, m)
+	bylines := make([][]hetgraph.NodeID, len(papers))
+	for j, p := range papers {
+		bylines[j] = p.AuthorIDs
+	}
 	mp.End()
 
-	t := rt.cfg.InitialLimit
-	if t <= 0 {
-		t = 2 * n
-		if t < 16 {
-			t = 16
-		}
+	rctx, rk := obs.StartSpan(ctx, "rank")
+	ranked, st, err := ta.TopExpertsAuthorsCtx(rctx, bylines, n)
+	rk.End()
+	if err != nil {
+		return nil, st, err
 	}
-	for {
-		ms.rounds++
-		// Each deepening round is its own sibling span: the assembled
-		// trace shows how many rounds ran and what each cost.
-		ectx, es := obs.StartSpan(ctx, "scatter_experts")
-		es.Annotate("round", strconv.Itoa(ms.rounds))
-		es.Annotate("limit", strconv.Itoa(t))
-		resps, err := rt.scatterExperts(ectx, papers, t)
-		es.End()
-		if err != nil {
-			return nil, ms, err
-		}
-		// Partials enter the merge in ascending shard order: the merged
-		// certification sums are deterministic for a given topology.
-		var parts []ta.Partial
-		for _, r := range resps {
-			if r == nil {
-				continue
-			}
-			entries := make([]ta.Ranking, len(r.Experts))
-			for i, e := range r.Experts {
-				entries[i] = ta.Ranking{Expert: hetgraph.NodeID(e.ID), Score: e.Score}
-			}
-			parts = append(parts, ta.Partial{
-				Entries:   entries,
-				Threshold: r.Threshold,
-				Exhausted: r.Exhausted,
-			})
-		}
-		_, st := ta.MergePartials(parts, n)
-		ms.candidates = st.Candidates
-		if st.Satisfied {
-			return finalRanking(resps, n), ms, nil
-		}
-		if t == 0 {
-			// Unbounded lists are exhaustive and always certify; reaching
-			// here means a shard broke the partial-list contract.
-			return nil, ms, fmt.Errorf("cluster: merge failed to certify on exhaustive lists")
-		}
-		rt.reg.Counter("expertfind_cluster_deep_fetches_total",
-			"Extra scatter rounds issued because the distributed threshold bound was not satisfied.").Inc()
-		t *= 4
-		if t > rt.cfg.MaxM {
-			t = 0 // ask for complete lists; termination guaranteed
-		}
+	pos := make(map[hetgraph.NodeID]int, len(ranked))
+	out := make([]serve.ExpertResult, len(ranked))
+	for i, r := range ranked {
+		pos[r.Expert] = i
+		out[i] = serve.ExpertResult{Rank: i + 1, ID: int32(r.Expert), Score: r.Score}
 	}
-}
-
-// finalRanking assembles the certified global top-n from the last round's
-// responses. Scores are NOT the certification sums: each expert's
-// per-paper contributions from all shards are re-summed in ascending
-// global rank — the single-node summation order — so scores, and
-// therefore tie behaviour, are bit-identical to single-node TopExperts.
-// Only exact candidates (present in every truncated shard's list)
-// qualify; the certified bound guarantees no inexact candidate can reach
-// the top n.
-func finalRanking(resps []*ShardExpertsResponse, n int) []mergedExpert {
-	type cand struct {
-		mergedExpert
-		contribs []Contribution
-		present  int
-	}
-	byID := map[int32]*cand{}
-	var order []int32
-	active := 0 // responses that actually carry partials
 	for _, r := range resps {
-		if r == nil {
-			continue
-		}
-		active++
-		for _, e := range r.Experts {
-			c := byID[e.ID]
-			if c == nil {
-				c = &cand{mergedExpert: mergedExpert{id: e.ID, name: e.Name, papers: e.Papers}}
-				byID[e.ID] = c
-				order = append(order, e.ID)
+		for _, row := range r.AuthorTable {
+			if i, ok := pos[row.ID]; ok {
+				out[i].Name, out[i].Papers = row.Name, row.Papers
 			}
-			c.contribs = append(c.contribs, e.Contribs...)
-			c.present++
 		}
 	}
-	exact := make([]mergedExpert, 0, len(order))
-	for _, id := range order {
-		c := byID[id]
-		if !isExact(c.present, resps) {
-			continue
-		}
-		sort.SliceStable(c.contribs, func(i, j int) bool {
-			return c.contribs[i].Rank < c.contribs[j].Rank
-		})
-		var sum float64
-		for _, t := range c.contribs {
-			sum += t.S
-		}
-		c.score = sum
-		exact = append(exact, c.mergedExpert)
-	}
-	sort.Slice(exact, func(i, j int) bool {
-		if exact[i].score != exact[j].score {
-			return exact[i].score > exact[j].score
-		}
-		return exact[i].id < exact[j].id
-	})
-	if len(exact) > n {
-		exact = exact[:n]
-	}
-	return exact
-}
-
-// isExact reports whether an expert seen in `present` responses is fully
-// determined: it must appear in every response that could omit entries.
-// An exhausted response omits only zero-score experts, so absence there
-// costs nothing.
-func isExact(present int, resps []*ShardExpertsResponse) bool {
-	required := 0
-	for _, r := range resps {
-		if r != nil && !r.Exhausted {
-			required++
-		}
-	}
-	// Present in all truncated responses — absences can only be in
-	// exhausted ones (score exactly 0 there).
-	return present >= required
+	return out, st, nil
 }
 
 func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
@@ -599,29 +409,17 @@ func (rt *Router) handleExperts(w http.ResponseWriter, r *http.Request) {
 	// hedge below shares its trace id, and the middleware capture picks
 	// it up for the trace store.
 	qctx, root := obs.StartSpan(ctx, "query")
-	experts, ms, err := rt.rankExperts(qctx, q, m, n)
+	experts, st, err := rt.rankExperts(qctx, q, m, n)
 	root.End()
-	if ms.rounds > 1 {
-		root.Annotate("deepened", strconv.Itoa(ms.rounds))
-	}
 	if rt.writeRouterError(w, err) {
 		return
 	}
 	resp := serve.ExpertsResponse{
 		Query:      q,
 		ResponseMs: float64(time.Since(start).Microseconds()) / 1000,
-		Candidates: ms.candidates,
-		TADepth:    ms.rounds,
-		Experts:    make([]serve.ExpertResult, 0, len(experts)),
-	}
-	for i, e := range experts {
-		resp.Experts = append(resp.Experts, serve.ExpertResult{
-			Rank:   i + 1,
-			ID:     e.id,
-			Name:   e.name,
-			Score:  e.score,
-			Papers: e.papers,
-		})
+		Candidates: st.Candidates,
+		TADepth:    st.Depth,
+		Experts:    experts,
 	}
 	if r.URL.Query().Get("debug") == "1" {
 		resp.Debug = &serve.QueryDebug{
@@ -646,16 +444,16 @@ func (rt *Router) handlePapers(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := rt.queryContext(r)
 	defer cancel()
 	qctx, root := obs.StartSpan(ctx, "papers")
-	resps, err := rt.scatterPapers(qctx, q, m, true)
+	resps, err := rt.scatterPapers(qctx, q, m, "&meta=1")
 	root.End()
 	if rt.writeRouterError(w, err) {
 		return
 	}
 	merged := mergePapers(resps, m)
 	out := make([]serve.PaperResult, 0, len(merged))
-	for _, p := range merged {
+	for i, p := range merged {
 		out = append(out, serve.PaperResult{
-			Rank:    p.rank,
+			Rank:    i + 1,
 			ID:      p.ID,
 			Text:    runeTruncate(p.Text, 120),
 			Authors: p.Authors,

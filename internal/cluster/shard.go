@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"expertfind/internal/core"
+	"expertfind/internal/hetgraph"
 	"expertfind/internal/obs"
 	"expertfind/internal/serve"
 )
@@ -22,17 +23,15 @@ const BudgetHeader = "X-Budget-Ms"
 
 // MountShard exposes the internal shard API on an existing serve.Server:
 //
-//	GET  /shard/papers?q=&m=[&meta=1] -> PapersResponse
-//	POST /shard/experts               -> ShardExpertsResponse
+//	GET /shard/papers?q=&m=[&meta=1][&authors=1] -> PapersResponse
 //
-// The routes ride the server's observability middleware and in-flight
-// shedding like the public ones, and honour the X-Budget-Ms deadline
+// The route rides the server's observability middleware and in-flight
+// shedding like the public ones, and honours the X-Budget-Ms deadline
 // budget. The server's /healthz topology block is set to the shard's
 // coordinates (satisfying probes that must tell topology members apart).
 func MountShard(srv *serve.Server, se *ShardEngine) {
-	sh := &shardAPI{srv: srv, se: se}
+	sh := &shardAPI{se: se}
 	srv.Handle("/shard/papers", sh.handlePapers)
-	srv.Handle("/shard/experts", sh.handleExperts)
 	srv.SetTopology(serve.Topology{
 		Role:        "shard",
 		ShardID:     se.ID(),
@@ -69,8 +68,7 @@ func MountFollowerShard(srv *serve.Server, se *ShardEngine, fo *core.Follower) {
 }
 
 type shardAPI struct {
-	srv *serve.Server
-	se  *ShardEngine
+	se *ShardEngine
 }
 
 // budgetContext bounds ctx by the request's X-Budget-Ms header, when
@@ -137,6 +135,7 @@ func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	withMeta := r.URL.Query().Get("meta") == "1"
+	withAuthors := r.URL.Query().Get("authors") == "1"
 	// The root span joins the router's trace through the remote context
 	// the serve middleware extracted from X-Trace-Context.
 	sctx, span := obs.StartSpan(r.Context(), "shard_papers")
@@ -150,46 +149,39 @@ func (sh *shardAPI) handlePapers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := PapersResponse{Shard: sh.se.ID(), Papers: make([]WirePaper, 0, len(res))}
+	g := sh.se.Engine().Graph()
+	listed := map[hetgraph.NodeID]bool{}
 	for _, p := range res {
 		wp := WirePaper{ID: int32(p.ID), Dist: p.Dist}
 		if withMeta {
 			wp.Text, wp.Authors = sh.se.PaperMeta(p.ID)
 		}
+		if withAuthors {
+			// The byline order is the input of the Zipf author weights
+			// (Eq. 5); the table carries what the router renders.
+			wp.AuthorIDs = g.AuthorsOf(p.ID)
+			for _, a := range wp.AuthorIDs {
+				if !listed[a] {
+					listed[a] = true
+					resp.AuthorTable = append(resp.AuthorTable,
+						WireAuthor{ID: a, Name: g.Label(a), Papers: len(g.PapersOf(a))})
+				}
+			}
+		}
 		resp.Papers = append(resp.Papers, wp)
 	}
 	resp.Trace = exportTree(span, r)
-	sh.srv.WriteJSON(w, resp)
+	writeWire(w, resp)
 }
 
-func (sh *shardAPI) handleExperts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req ExpertsRequest
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		http.Error(w, "invalid JSON body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	sctx, span := obs.StartSpan(r.Context(), "shard_experts")
-	span.Annotate("shard", strconv.Itoa(sh.se.ID()))
-	span.Annotate("limit", strconv.Itoa(req.Limit))
-	defer span.End()
-	ctx, cancel := budgetContext(sctx, r)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		writeShardError(w, err)
-		return
-	}
-	_, score := obs.StartSpan(ctx, "score")
-	resp, err := sh.se.ScoreExperts(req)
-	score.End()
+// writeWire writes a /shard/* payload as compact JSON: only the router
+// reads it, and indentation would roughly double the bytes on the wire.
+func writeWire(w http.ResponseWriter, v any) {
+	b, err := json.Marshal(v)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, "response encoding failed", http.StatusInternalServerError)
 		return
 	}
-	resp.Trace = exportTree(span, r)
-	sh.srv.WriteJSON(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(b, '\n'))
 }

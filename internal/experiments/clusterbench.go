@@ -42,11 +42,11 @@ type ClusterTopologyReport struct {
 	P99Ms float64 `json:"p99_ms"`
 
 	// WireBytesPerQuery is the mean shard-response volume the router read
-	// per query (both scatter rounds included).
+	// per query.
 	WireBytesPerQuery float64 `json:"wire_bytes_per_query"`
-	// DeepFetches counts queries that needed a second, deeper expert
-	// round because the first bound did not certify.
-	DeepFetches int `json:"deep_fetches"`
+	// RoundTripsPerQuery is the mean number of shard sub-requests per
+	// query, counted from the router's fan-out latency observations.
+	RoundTripsPerQuery float64 `json:"round_trips_per_query"`
 
 	// Warm p50 over a replay of the query set with trace retention off
 	// versus on (span collection headers, shard tree export in the
@@ -127,17 +127,18 @@ func runClusterTopology(eng *core.Engine, queries []dataset.Query, sc Scale, sha
 		lat = append(lat, timeExpertsQuery(raddr, q.Text, sc.M, sc.N))
 	}
 
-	var wire float64
+	var wire, trips float64
 	for i := 0; i < shards; i++ {
-		wire += reg.Counter("expertfind_cluster_wire_bytes_total", "",
-			obs.L("shard", strconv.Itoa(i))).Value()
+		shard := obs.L("shard", strconv.Itoa(i))
+		wire += reg.Counter("expertfind_cluster_wire_bytes_total", "", shard).Value()
+		trips += float64(reg.Histogram("expertfind_cluster_fanout_seconds", "", nil, shard).Count())
 	}
 	rep := ClusterTopologyReport{
-		Shards:            shards,
-		P50Ms:             durPercentile(lat, 0.50),
-		P99Ms:             durPercentile(lat, 0.99),
-		WireBytesPerQuery: wire / float64(len(queries)),
-		DeepFetches:       int(reg.Counter("expertfind_cluster_deep_fetches_total", "").Value()),
+		Shards:             shards,
+		P50Ms:              durPercentile(lat, 0.50),
+		P99Ms:              durPercentile(lat, 0.99),
+		WireBytesPerQuery:  wire / float64(len(queries)),
+		RoundTripsPerQuery: trips / float64(len(queries)),
 	}
 
 	// Trace overhead: warm p50 of the same replay with tracing off vs on.
@@ -211,14 +212,14 @@ func FormatClusterBench(r ClusterBenchReport) string {
 	fmt.Fprintf(&b, "Cluster benchmark — %s, %d papers, %d queries (exact retrieval everywhere)\n",
 		r.Dataset, r.Papers, r.Queries)
 	fmt.Fprintf(&b, "%-16s %10s %10s %16s %8s %14s %12s %9s\n",
-		"topology", "p50 ms", "p99 ms", "wire B/query", "deepens",
+		"topology", "p50 ms", "p99 ms", "wire B/query", "trips/q",
 		"warm p50 off", "warm p50 on", "trace Δ%")
 	fmt.Fprintf(&b, "%-16s %10.3f %10.3f %16s %8s %14s %12s %9s\n",
 		"single", r.SingleP50Ms, r.SingleP99Ms, "-", "-", "-", "-", "-")
 	for _, t := range r.Topologies {
-		fmt.Fprintf(&b, "%-16s %10.3f %10.3f %16.0f %8d %14.3f %12.3f %+9.1f\n",
+		fmt.Fprintf(&b, "%-16s %10.3f %10.3f %16.0f %8.2f %14.3f %12.3f %+9.1f\n",
 			fmt.Sprintf("router+%d shards", t.Shards), t.P50Ms, t.P99Ms,
-			t.WireBytesPerQuery, t.DeepFetches,
+			t.WireBytesPerQuery, t.RoundTripsPerQuery,
 			t.WarmP50NoTraceMs, t.WarmP50TraceMs, t.TraceOverheadPct)
 	}
 	return b.String()

@@ -309,15 +309,15 @@ func TestTraceStoreKeepRules(t *testing.T) {
 	reg := NewRegistry()
 	st := NewTraceStore(TracePolicy{Capacity: 16, SlowestN: 2, SampleEvery: 4}, reg)
 
-	// Error/hedged/deepened are kept unconditionally, in that precedence.
+	// Error and hedged are kept unconditionally, in that precedence.
 	if reason, kept := st.Add(mkRecord("e1", 1), KeepFlags{Error: true, Hedged: true}); !kept || reason != KeepError {
 		t.Fatalf("error trace: reason=%q kept=%v", reason, kept)
 	}
-	if reason, _ := st.Add(mkRecord("h1", 1), KeepFlags{Hedged: true, Deepened: true}); reason != KeepHedged {
+	if reason, _ := st.Add(mkRecord("h1", 1), KeepFlags{Hedged: true}); reason != KeepHedged {
 		t.Fatalf("hedged trace: reason=%q", reason)
 	}
-	if reason, _ := st.Add(mkRecord("d1", 1), KeepFlags{Deepened: true}); reason != KeepDeepen {
-		t.Fatalf("deepened trace: reason=%q", reason)
+	if reason, _ := st.Add(mkRecord("h2", 1), KeepFlags{Hedged: true}); reason != KeepHedged {
+		t.Fatalf("second hedged trace: reason=%q", reason)
 	}
 
 	// Slowest-N: with fewer than N slower records retained, it's slow.
@@ -420,20 +420,20 @@ func TestTraceStoreRingEviction(t *testing.T) {
 }
 
 func TestTraceStoreMultipleRecordsPerTrace(t *testing.T) {
-	// A shard serves both /shard/papers and /shard/experts for the same
-	// query: two records share one trace id and Get returns both.
+	// A node can serve several requests carrying one propagated trace
+	// context: the records share one trace id and Get returns both.
 	st := NewTraceStore(TracePolicy{Capacity: 8, SlowestN: -1, SampleEvery: 1}, nil)
 	a := mkRecord("shared", 1)
 	a.Route = "/shard/papers"
 	b := mkRecord("shared", 2)
-	b.Route = "/shard/experts"
+	b.Route = "/experts"
 	st.Add(a, KeepFlags{})
 	st.Add(b, KeepFlags{})
 	recs := st.Get("shared")
 	if len(recs) != 2 {
 		t.Fatalf("Get returned %d records, want 2", len(recs))
 	}
-	if recs[0].Route != "/shard/papers" || recs[1].Route != "/shard/experts" {
+	if recs[0].Route != "/shard/papers" || recs[1].Route != "/experts" {
 		t.Fatalf("records out of order: %+v", recs)
 	}
 }

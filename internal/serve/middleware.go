@@ -13,17 +13,16 @@ import (
 // folded into "other" so a path-scanning client cannot grow the registry
 // without bound.
 var knownRoutes = map[string]string{
-	"/experts":       "/experts",
-	"/papers":        "/papers",
-	"/similar":       "/similar",
-	"/add":           "/add",
-	"/healthz":       "/healthz",
-	"/readyz":        "/readyz",
-	"/metrics":       "/metrics",
-	"/debug/vars":    "/debug/vars",
-	"/debug/traces":  "/debug/traces",
-	"/shard/papers":  "/shard/papers",
-	"/shard/experts": "/shard/experts",
+	"/experts":      "/experts",
+	"/papers":       "/papers",
+	"/similar":      "/similar",
+	"/add":          "/add",
+	"/healthz":      "/healthz",
+	"/readyz":       "/readyz",
+	"/metrics":      "/metrics",
+	"/debug/vars":   "/debug/vars",
+	"/debug/traces": "/debug/traces",
+	"/shard/papers": "/shard/papers",
 }
 
 func routeLabel(path string) string {

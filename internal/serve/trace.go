@@ -39,7 +39,7 @@ type TraceIndexResponse struct {
 
 // TraceResponse is the /debug/traces/{id} payload. Records is a slice
 // because one node can retain several records for a trace (a shard
-// serves both scatter rounds of one query).
+// that serves a retried sub-request of one query twice).
 type TraceResponse struct {
 	TraceID string            `json:"trace_id"`
 	Records []obs.TraceRecord `json:"records"`
@@ -75,11 +75,10 @@ func ServeTraces(w http.ResponseWriter, r *http.Request, store *obs.TraceStore,
 // query-serving paths, public and internal. Health, metrics and debug
 // endpoints stay untraced.
 var tracedRoutes = map[string]bool{
-	"/experts":       true,
-	"/papers":        true,
-	"/similar":       true,
-	"/shard/papers":  true,
-	"/shard/experts": true,
+	"/experts":      true,
+	"/papers":       true,
+	"/similar":      true,
+	"/shard/papers": true,
 }
 
 // enrichContext prepares a request context for tracing: the metric
@@ -124,9 +123,8 @@ func (s *Server) finishTrace(capture *obs.TraceCapture, r *http.Request, route s
 			DurationMs: durMs,
 			Root:       tree,
 		}, obs.KeepFlags{
-			Error:    status >= 500,
-			Hedged:   tree.HasAttr("hedge"),
-			Deepened: tree.HasAttr("deepened"),
+			Error:  status >= 500,
+			Hedged: tree.HasAttr("hedge"),
 		})
 	}
 	if s.SlowQuery > 0 && durMs >= s.SlowQuery.Seconds()*1000 {

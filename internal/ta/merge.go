@@ -13,7 +13,8 @@ import (
 // papers, so an expert's global score R(a) is the sum of per-shard partial
 // scores, and a shard that truncates its list to its top-t entries can
 // still bound every absent expert's contribution by the largest score it
-// omitted.
+// omitted. The cluster router does not use it: it ranks with
+// TopExpertsAuthorsCtx over the merged papers' bylines in one round.
 
 // Partial is one shard's bounded contribution to a distributed ranking:
 // its experts with non-zero partial scores, sorted by score descending

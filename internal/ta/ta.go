@@ -103,33 +103,33 @@ type candidateIndex struct {
 }
 
 // buildLists materialises the m ranked lists of Figure 6, one per
-// retrieved paper, restricted to experts with non-zero score (a paper's
-// own authors; all other candidates implicitly score zero, exactly the
+// retrieved paper given as its author ids in byline order (rank 1
+// first), restricted to experts with non-zero score (a paper's own
+// authors; all other candidates implicitly score zero, exactly the
 // S(a,p_j)=0 convention of the paper). The Zipf weight is strictly
 // decreasing in author rank, so each list is already in descending score
 // order. All entries live in one flat arena sliced per paper.
-func buildLists(g *hetgraph.Graph, papers []hetgraph.NodeID) ([][]ListEntry, *candidateIndex) {
+func buildLists(authorLists [][]hetgraph.NodeID) ([][]ListEntry, *candidateIndex) {
 	// Assign dense keys in ascending NodeID order so Aggregate's key
 	// tie-break coincides with the package's NodeID tie-break — otherwise
 	// equal-score experts at the top-n boundary could differ from the
 	// full-scan ranking. Sort-and-compact plus binary search beats a hash
 	// map here: candidate sets are a few hundred ids.
 	total := 0
-	for _, p := range papers {
-		total += len(g.AuthorsOf(p))
+	for _, authors := range authorLists {
+		total += len(authors)
 	}
 	all := make([]hetgraph.NodeID, 0, total)
-	for _, p := range papers {
-		all = append(all, g.AuthorsOf(p)...)
+	for _, authors := range authorLists {
+		all = append(all, authors...)
 	}
 	slices.Sort(all)
 	all = slices.Compact(all)
 	cands := &candidateIndex{ids: all}
 
 	arena := make([]ListEntry, 0, total)
-	lists := make([][]ListEntry, 0, len(papers))
-	for j, p := range papers {
-		authors := g.AuthorsOf(p)
+	lists := make([][]ListEntry, 0, len(authorLists))
+	for j, authors := range authorLists {
 		start := len(arena)
 		for i, a := range authors {
 			k, _ := slices.BinarySearch(all, a)
@@ -155,17 +155,30 @@ func TopExperts(g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, 
 // stats accumulated so far; no partial ranking is returned, because a
 // truncated TA scan carries no correctness guarantee.
 func TopExpertsCtx(ctx context.Context, g *hetgraph.Graph, papers []hetgraph.NodeID, n int) ([]Ranking, Stats, error) {
-	lists, cands := buildLists(g, papers)
+	authorLists := make([][]hetgraph.NodeID, len(papers))
+	for j, p := range papers {
+		authorLists[j] = g.AuthorsOf(p)
+	}
+	return TopExpertsAuthorsCtx(ctx, authorLists, n)
+}
+
+// TopExpertsAuthorsCtx is TopExpertsCtx over the retrieved papers' author
+// lists instead of a graph: authorLists[j] holds the author ids, in
+// byline order, of the paper at rank j+1. S(a,p) depends only on the
+// paper's rank and its byline, so a caller holding the lists — a cluster
+// router that gathered them from its shards — ranks experts exactly as
+// the single-node path does, down to the score bits and the stats.
+func TopExpertsAuthorsCtx(ctx context.Context, authorLists [][]hetgraph.NodeID, n int) ([]Ranking, Stats, error) {
+	lists, cands := buildLists(authorLists)
 
 	// Random-access scorer: recompute R(a) by walking the retrieved list
 	// in ASCENDING PAPER RANK. This order is the package's canonical
 	// summation order — Aggregate re-scores every returned winner through
-	// it, and cluster routers re-sum cross-shard contributions in the
-	// same order, so single-node and distributed scores agree bit for
-	// bit. The per-key contribution index (CSR over one flat buffer,
-	// filled in ascending paper rank so the prefix order IS the canonical
-	// order) is built lazily on the first call — TA often terminates
-	// without needing random access at all.
+	// it, so published scores are a pure function of the lists. The
+	// per-key contribution index (CSR over one flat buffer, filled in
+	// ascending paper rank so the prefix order IS the canonical order) is
+	// built lazily on the first call — TA often terminates without needing
+	// random access at all.
 	var coff, ccnt []int32
 	var cbuf []float64
 	exact := func(key int32) float64 {
